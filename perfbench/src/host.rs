@@ -46,6 +46,36 @@ pub fn cpu_seconds() -> (f64, f64) {
     (tick(11), tick(12))
 }
 
+/// Process CPU time and wall time summed over measured phases.
+#[derive(Default)]
+pub struct CpuMeter {
+    user_s: f64,
+    sys_s: f64,
+    wall_s: f64,
+}
+
+impl CpuMeter {
+    /// Runs `phase`, adding its CPU and wall seconds.
+    pub fn measure<T>(&mut self, phase: impl FnOnce() -> T) -> T {
+        let (u0, s0) = cpu_seconds();
+        let t = std::time::Instant::now();
+        let out = phase();
+        self.wall_s += t.elapsed().as_secs_f64();
+        let (u1, s1) = cpu_seconds();
+        self.user_s += u1 - u0;
+        self.sys_s += s1 - s0;
+        out
+    }
+
+    /// `runtime.cpu_user_s` and `runtime.cpu_sys_s` (totals) and
+    /// `runtime.busy_cores` (CPU seconds per wall second).
+    pub fn layers(&self, l: &mut crate::report::Metrics) {
+        l.add("runtime.cpu_user_s", self.user_s, "s");
+        l.add("runtime.cpu_sys_s", self.sys_s, "s");
+        l.add("runtime.busy_cores", (self.user_s + self.sys_s) / self.wall_s.max(1e-9), "cores");
+    }
+}
+
 fn cpu_model() -> String {
     read("/proc/cpuinfo")
         .and_then(|s| {

@@ -8,11 +8,13 @@
 //! Each run builds its inputs from `--seed`, measures for about
 //! `--seconds`, checks every output it can against a reference (Tarjan
 //! partitions, BFS over the benchmark's own mirror of the served graph)
-//! and prints a provenance line, then as its last line one JSON object
-//! with `correct`, `attempted`, `failed` and `metrics`. A wrong output
-//! aborts with exit code 1 and no result. `--trace 1` prints per-layer
-//! metrics instead of end-to-end ones and writes every span to
-//! `<out>/trace-<workload>-<seed>.jsonl` (see `perfbench/README.md`).
+//! and prints a provenance line, the workload's own figures, then as its
+//! last line one JSON object with `correct`, `attempted`, `failed` and
+//! `metrics`: exactly the end-to-end metrics of `BENCHMARK.json`, the same
+//! names for every workload. A wrong output aborts with exit code 1 and no
+//! result. `--trace 1` prints the per-layer metrics of `BENCHMARK.json`
+//! instead and writes every span to `<out>/trace-<workload>-<seed>.jsonl`
+//! (see `perfbench/README.md`).
 
 mod alloc;
 mod client;
@@ -145,8 +147,11 @@ fn main() {
     let result = if traced {
         traced_run(&workload, &ctx, &provenance)
     } else {
-        run_workload(&workload, &ctx)
-            .map(|o| report::result_line(o.attempted, o.failed, &o.end_to_end))
+        run_workload(&workload, &ctx).and_then(|o| {
+            let (shared, detail) = o.end_to_end.split(&report::END_TO_END)?;
+            println!("{{\"end_to_end_detail\": {}}}", detail.to_json());
+            Ok(report::result_line(o.attempted, o.failed, &shared))
+        })
     };
     let (steal1, total1) = host::steal_ticks();
     let steal_share =
@@ -191,8 +196,11 @@ fn traced_run(workload: &str, ctx: &Ctx, provenance: &str) -> Result<String, Str
     layers.add("trace.spans", spans.len() as f64, "count");
     layers.add("trace.program_spans_dropped", dropped as f64, "count");
 
+    let (shared, detail) = layers.split(&report::PER_LAYER)?;
+    println!("{{\"per_layer_detail\": {}}}", detail.to_json());
     let mut file = format!("{{\"provenance\": {provenance}}}\n");
-    file.push_str(&format!("{{\"per_layer\": {}}}\n", layers.to_json()));
+    file.push_str(&format!("{{\"per_layer\": {}}}\n", shared.to_json()));
+    file.push_str(&format!("{{\"per_layer_detail\": {}}}\n", detail.to_json()));
     file.push_str(&format!("{{\"untraced\": {}}}\n", base.end_to_end.to_json()));
     file.push_str(&format!("{{\"traced\": {}}}\n", traced.end_to_end.to_json()));
     for (phase, window) in trace::take_telemetry() {
@@ -203,14 +211,23 @@ fn traced_run(workload: &str, ctx: &Ctx, provenance: &str) -> Result<String, Str
     std::fs::write(&path, file).map_err(|e| format!("write {}: {e}", path.display()))?;
     eprintln!("perfbench: wrote {}", path.display());
     let (attempted, failed) = (base.attempted + traced.attempted, base.failed + traced.failed);
-    Ok(report::result_line(attempted, failed, &layers))
+    Ok(report::result_line(attempted, failed, &shared))
 }
 
-/// Metrics every workload reports. `peak_heap_mb` is the peak of live
-/// heap bytes within each of a workload's repeated units of work, as the
-/// workload summarises it (see `perfbench/README.md`). Failures are the
-/// result line's `failed` out of `attempted`.
-pub fn common_end_to_end(m: &mut Metrics, setup_s: f64, peak_heap_mb: f64) {
+/// The end-to-end metrics every workload reports, each for the workload's
+/// own unit of work (see `perfbench/README.md`): `latency_p50_ms` is the
+/// median time of one such unit, `throughput_per_s` how many of them
+/// complete per second. Failures are the result line's `failed` out of
+/// `attempted`.
+pub fn end_to_end(
+    m: &mut Metrics,
+    setup_s: f64,
+    peak_heap_mb: f64,
+    latency_p50_ms: f64,
+    throughput_per_s: f64,
+) {
     m.add("setup_s", setup_s, "s");
     m.add("peak_heap_mb", peak_heap_mb, "MiB");
+    m.add("latency_p50_ms", latency_p50_ms, "ms");
+    m.add("throughput_per_s", throughput_per_s, "1/s");
 }

@@ -3,6 +3,51 @@
 use pscc_telemetry::metrics::{bucket_lower, bucket_upper};
 use pscc_telemetry::{HistogramSnapshot, TelemetrySnapshot, HISTOGRAM_BUCKETS};
 
+/// The end-to-end metrics of `BENCHMARK.json`: every workload prints
+/// exactly these on its untraced result line.
+pub const END_TO_END: [&str; 4] = ["setup_s", "peak_heap_mb", "latency_p50_ms", "throughput_per_s"];
+
+/// The per-layer metrics of `BENCHMARK.json`: every workload's traced
+/// result line holds exactly these. They are the layers every workload
+/// runs through (for `core` and `baselines` on the serving workloads, and
+/// `engine.index` on `scc-deep`, through a traced-only probe on the
+/// workload's own graphs); the layers only some workloads reach go to
+/// the `per_layer_detail` line and the trace file.
+pub const PER_LAYER: [&str; 32] = [
+    "graph.csr_build_s",
+    "runtime.cpu_user_s",
+    "runtime.cpu_sys_s",
+    "runtime.busy_cores",
+    "core.scc_s",
+    "core.trim_s",
+    "core.multi_search_s",
+    "core.table_resize_s",
+    "core.labeling_s",
+    "core.other_s",
+    "core.rounds",
+    "core.batches",
+    "core.trimmed",
+    "baselines.tarjan_s",
+    "engine.index.build_s",
+    "engine.index.scc_s",
+    "engine.index.condense_s",
+    "engine.index.levels_s",
+    "engine.index.summary_s",
+    "engine.index.summary_bytes",
+    "engine.index.components",
+    "self.graph_s",
+    "self.core_s",
+    "self.baselines_s",
+    "self.engine.index_s",
+    "self.check_s",
+    "overhead.setup_s",
+    "overhead.peak_heap_mb",
+    "overhead.latency_p50_ms",
+    "overhead.throughput_per_s",
+    "host.vmhwm_mb",
+    "trace.spans",
+];
+
 /// Named metrics with units, in the order they were added.
 #[derive(Default, Debug)]
 pub struct Metrics(pub Vec<(String, f64, &'static str)>);
@@ -14,6 +59,22 @@ impl Metrics {
 
     pub fn get(&self, name: &str) -> Option<f64> {
         self.0.iter().find(|(n, _, _)| n == name).map(|&(_, v, _)| v)
+    }
+
+    /// Splits into the metrics named in `shared`, in that order, and the
+    /// rest. Every name in `shared` must be present exactly once.
+    pub fn split(self, shared: &[&str]) -> Result<(Metrics, Metrics), String> {
+        let mut named = Metrics::default();
+        for &name in shared {
+            let mut found = self.0.iter().filter(|(n, _, _)| n == name);
+            match (found.next(), found.next()) {
+                (Some(m), None) => named.0.push(m.clone()),
+                (None, _) => return Err(format!("metric {name} was not measured")),
+                (Some(_), Some(_)) => return Err(format!("metric {name} was measured twice")),
+            }
+        }
+        let rest = self.0.into_iter().filter(|(n, _, _)| !shared.contains(&n.as_str())).collect();
+        Ok((named, Metrics(rest)))
     }
 
     pub fn to_json(&self) -> String {
@@ -144,6 +205,19 @@ mod tests {
         }
         assert_eq!(pooled.count, 100);
         assert!((pooled.mean_s() - 50.5e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn split_keeps_the_shared_order_and_requires_every_name() {
+        let mut m = Metrics::default();
+        m.add("b", 2.0, "s");
+        m.add("x", 9.0, "count");
+        m.add("a", 1.0, "s");
+        let (shared, rest) = m.split(&["a", "b"]).expect("both present");
+        assert_eq!(shared.0, vec![("a".to_string(), 1.0, "s"), ("b".to_string(), 2.0, "s")]);
+        assert_eq!(rest.0, vec![("x".to_string(), 9.0, "count")]);
+        let (shared, _) = shared.split(&["a"]).expect("a present");
+        assert!(shared.split(&["b"]).is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use pscc_graph::{DiGraph, V};
 use pscc_runtime::SplitMix64;
 use pscc_server::{ServerConfig, ServerHandle};
 use pscc_telemetry::TelemetrySnapshot;
+use std::hint::black_box;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
@@ -48,12 +49,20 @@ pub fn rmat_shape(scale: Scale) -> (u32, usize) {
     }
 }
 
-/// A served graph and its edge list, from `--seed` and `stream`.
-pub fn rmat_input(ctx: &Ctx, stream: u64) -> (DiGraph, Vec<(V, V)>) {
+/// A served graph, its edge list and the seconds its CSR build from that
+/// list took, from `--seed` and `stream`.
+pub fn rmat_input(ctx: &Ctx, stream: u64) -> (DiGraph, Vec<(V, V)>, f64) {
     let (log_n, m) = rmat_shape(ctx.scale);
-    let g = rmat_digraph(log_n, m, ctx.stream_seed(stream));
-    let edges = g.out_csr().edges().collect();
-    (g, edges)
+    let generated = rmat_digraph(log_n, m, ctx.stream_seed(stream));
+    let n = generated.n();
+    let edges: Vec<(V, V)> = generated.out_csr().edges().collect();
+    drop(generated);
+    let t = Instant::now();
+    let g = {
+        let _s = trace::span("graph", "from_edges");
+        DiGraph::from_edges(n, black_box(&edges))
+    };
+    (g, edges, t.elapsed().as_secs_f64())
 }
 
 pub fn uniform_pair(rng: &mut SplitMix64, n: usize) -> (V, V) {

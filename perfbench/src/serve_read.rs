@@ -11,11 +11,12 @@
 //! hour), so those two are per-layer readings (`client.read_qps_wall`,
 //! `client.read_p99_ms`) and only the medians are end-to-end metrics.
 
+use crate::host::CpuMeter;
 use crate::oracle::Mirror;
 use crate::report::Outcome;
 use crate::serve::{self, Source, GRAPH, READ_RATE};
 use crate::stats::{median, percentile};
-use crate::{client, trace, Ctx, Inject, Scale};
+use crate::{client, scc_deep, trace, Ctx, Inject, Scale};
 use pscc_graph::V;
 use pscc_runtime::SplitMix64;
 use pscc_telemetry::TelemetrySnapshot;
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 9;
 /// Pipelined GETs per phase-B window, and phase-B connections.
 const WINDOW: usize = 64;
 const CONNS: usize = 2;
@@ -47,7 +48,7 @@ pub fn facts(scale: Scale) -> String {
 
 pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     crate::alloc::reset_peak();
-    let (graph, edges) = serve::rmat_input(ctx, 21);
+    let (graph, edges, csr_s) = serve::rmat_input(ctx, 21);
     let n = graph.n();
     let mirror = Mirror::new(n, &edges);
     let mut rng = SplitMix64::new(ctx.stream_seed(22));
@@ -74,12 +75,15 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     let before_a = TelemetrySnapshot::capture();
     let stop = AtomicBool::new(false);
     let mut rng_a = SplitMix64::new(ctx.stream_seed(24));
-    let a = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            std::thread::sleep(Duration::from_secs_f64(ctx.seconds * PHASE_A_SHARE));
-            stop.store(true, Ordering::Relaxed);
-        });
-        client::open_loop(addr, GRAPH, READ_RATE, &stop, || serve::uniform_pair(&mut rng_a, n))
+    let mut cpu = CpuMeter::default();
+    let a = cpu.measure(|| {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_secs_f64(ctx.seconds * PHASE_A_SHARE));
+                stop.store(true, Ordering::Relaxed);
+            });
+            client::open_loop(addr, GRAPH, READ_RATE, &stop, || serve::uniform_pair(&mut rng_a, n))
+        })
     });
     let window_a = TelemetrySnapshot::capture().since(&before_a);
 
@@ -91,13 +95,15 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             move || serve::uniform_pair(&mut rng, n)
         })
         .collect();
-    let b = client::closed_loop(
-        addr,
-        GRAPH,
-        WINDOW,
-        Duration::from_secs_f64(ctx.seconds * (1.0 - PHASE_A_SHARE)),
-        generators,
-    );
+    let b = cpu.measure(|| {
+        client::closed_loop(
+            addr,
+            GRAPH,
+            WINDOW,
+            Duration::from_secs_f64(ctx.seconds * (1.0 - PHASE_A_SHARE)),
+            generators,
+        )
+    });
     let window_b = TelemetrySnapshot::capture().since(&before_b);
     trace::note_telemetry("serve-read phase A", &window_a);
     trace::note_telemetry("serve-read phase B", &window_b);
@@ -113,13 +119,19 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     let attempted = a.answers.len() as u64 + b.answered + b.failed;
     let mut out = Outcome { attempted, failed: a.failed + b.failed, ..Outcome::default() };
     let read_p50_s = percentile(&a.latency_s, 0.50);
-    let e2e = &mut out.end_to_end;
-    crate::common_end_to_end(e2e, median(&setups), crate::alloc::peak_mb());
-    e2e.add("read_p50_ms", read_p50_s * 1e3, "ms");
     let window_rtt_p50 = percentile(&b.window_rtt_s, 0.50);
-    e2e.add("read_qps", (CONNS * WINDOW) as f64 / window_rtt_p50, "1/s");
+    let read_qps = (CONNS * WINDOW) as f64 / window_rtt_p50;
+    crate::end_to_end(
+        &mut out.end_to_end,
+        median(&setups),
+        crate::alloc::peak_mb(),
+        read_p50_s * 1e3,
+        read_qps,
+    );
 
     let l = &mut out.per_layer;
+    l.add("graph.csr_build_s", csr_s, "s");
+    cpu.layers(l);
     serve::index_layers(l, &builds);
     serve::read_layers(l, &[&window_a, &window_b], &[&window_a]);
     let service_p50 = l.get("server.service_p50_s").unwrap_or(0.0);
@@ -129,5 +141,8 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     l.add("client.lateness_max_s", a.lateness_max_s, "s");
     l.add("client.sent", attempted as f64, "count");
     l.add("client.window_rtt_p50_s", window_rtt_p50, "s");
+    if trace::enabled() {
+        scc_deep::probe(l, std::slice::from_ref(&graph))?;
+    }
     Ok(out)
 }

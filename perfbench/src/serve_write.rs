@@ -11,11 +11,12 @@
 //! several graphs; the cycle count follows from `--seconds` alone, so
 //! counts and peak memory do not depend on how fast the host ran.
 
+use crate::host::CpuMeter;
 use crate::oracle::Mirror;
 use crate::report::{Outcome, Pooled};
 use crate::serve::{self, Source, GRAPH, READ_RATE};
 use crate::stats::{median, percentile};
-use crate::{client, trace, Ctx, Inject, Scale};
+use crate::{client, scc_deep, trace, Ctx, Inject, Scale};
 use pscc_graph::V;
 use pscc_runtime::SplitMix64;
 use pscc_telemetry::TelemetrySnapshot;
@@ -35,7 +36,10 @@ const CHECK_SOURCES: usize = 128;
 const CHECK_TARGETS: usize = 16;
 const MIN_CYCLES: usize = 2;
 /// Seconds of `--seconds` budgeted per cycle.
-const CYCLE_SECONDS: f64 = 5.0;
+const CYCLE_SECONDS: f64 = 4.0;
+/// Set-ups per cycle: the served one, after as many that are timed and
+/// then shut down, so `setup_s` is a median over several per cycle.
+const SETUPS_PER_CYCLE: usize = 3;
 
 fn cycles(seconds: f64) -> usize {
     ((seconds / CYCLE_SECONDS).round() as usize).max(MIN_CYCLES)
@@ -48,7 +52,7 @@ pub fn facts(scale: Scale) -> String {
          append\", \"deltas_per_cycle\": {DELTAS}, \"delta\": \"one edge, insert/delete \
          alternating\", \"writer\": \"closed loop, 1 connection\", \"reads\": {{\"loop\": \
          \"open\", \"rate_per_s\": {READ_RATE}, \"connections\": 1, \"hot_pairs\": {HOT_PAIRS}, \
-         \"hot_share\": {HOT_SHARE}}}, \"seconds_per_cycle\": {CYCLE_SECONDS}, \"checked_per_check\": {}}}",
+         \"hot_share\": {HOT_SHARE}}}, \"seconds_per_cycle\": {CYCLE_SECONDS}, \"setups_per_cycle\": {SETUPS_PER_CYCLE}, \"checked_per_check\": {}}}",
         CHECK_SOURCES * CHECK_TARGETS
     )
 }
@@ -101,6 +105,11 @@ struct Totals {
     wal_bytes: u64,
     stage_s: [f64; 6],
     stage_deltas: usize,
+    csr_s: Vec<f64>,
+    /// Acknowledged deltas and seconds of the write streams.
+    deltas_acked: u64,
+    writes_s: f64,
+    cpu: CpuMeter,
 }
 
 pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
@@ -122,12 +131,19 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     let cycles = cycles as f64;
     let mut out = Outcome { attempted: t.attempted, failed: t.failed, ..Outcome::default() };
     let e2e = &mut out.end_to_end;
-    crate::common_end_to_end(e2e, median(&t.setups), median(&t.peak_mb));
-    e2e.add("delta_p50_ms", percentile(&t.delta_s, 0.50) * 1e3, "ms");
+    crate::end_to_end(
+        e2e,
+        median(&t.setups),
+        median(&t.peak_mb),
+        percentile(&t.delta_s, 0.50) * 1e3,
+        t.deltas_acked as f64 / t.writes_s,
+    );
     let reads: Vec<f64> = t.read_s.concat();
     e2e.add("read_p50_ms", percentile(&reads, 0.50) * 1e3, "ms");
 
     let l = &mut out.per_layer;
+    l.add("graph.csr_build_s", median(&t.csr_s), "s");
+    t.cpu.layers(l);
     serve::index_layers(l, &t.builds);
     let writes: Vec<&TelemetrySnapshot> = t.write_windows.iter().collect();
     serve::read_layers(l, &writes, &writes);
@@ -183,12 +199,19 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     l.add("client.lateness_max_s", t.lateness_max_s, "s");
     l.add("client.sent", t.attempted as f64, "count");
     l.add("client.cycles", cycles, "count");
+    if trace::enabled() {
+        // The cycles' graphs again, once every peak has been read.
+        let graphs: Vec<_> =
+            (0..cycles as u64).map(|cycle| serve::rmat_input(ctx, 100 + cycle).0).collect();
+        scc_deep::probe(l, &graphs)?;
+    }
     Ok(out)
 }
 
 fn run_cycle(ctx: &Ctx, cycle: u64, dir: &Path, t: &mut Totals) -> Result<(), String> {
     crate::alloc::reset_peak();
-    let (graph, edges) = serve::rmat_input(ctx, 100 + cycle);
+    let (graph, edges, csr_s) = serve::rmat_input(ctx, 100 + cycle);
+    t.csr_s.push(csr_s);
     let n = graph.n();
     let base = Mirror::new(n, &edges);
     let steps = delta_stream(n, &edges, ctx.stream_seed(1000 + cycle));
@@ -197,6 +220,15 @@ fn run_cycle(ctx: &Ctx, cycle: u64, dir: &Path, t: &mut Totals) -> Result<(), St
     let hot: Vec<(V, V)> = (0..HOT_PAIRS).map(|_| serve::uniform_pair(&mut rng, n)).collect();
     let before_cycle = TelemetrySnapshot::capture();
 
+    for extra in 1..SETUPS_PER_CYCLE {
+        let probe = serve::uniform_pair(&mut rng, n);
+        let extra_dir = dir.with_extension(format!("setup-{extra}"));
+        let served = serve::bring_up(Source::Fresh(graph.clone(), Some(&extra_dir)), probe, &base);
+        let _ = std::fs::remove_dir_all(&extra_dir);
+        let served = served?;
+        t.setups.push(served.elapsed_s);
+        served.shutdown();
+    }
     let probe = serve::uniform_pair(&mut rng, n);
     let served = serve::bring_up(Source::Fresh(graph, Some(dir)), probe, &base)?;
     t.setups.push(served.elapsed_s);
@@ -208,20 +240,26 @@ fn run_cycle(ctx: &Ctx, cycle: u64, dir: &Path, t: &mut Totals) -> Result<(), St
     let before = TelemetrySnapshot::capture();
     let stop = AtomicBool::new(false);
     let mut read_rng = SplitMix64::new(ctx.stream_seed(3000 + cycle));
-    let (reads, delta_s, delta_failed) = std::thread::scope(|scope| {
-        let reader = scope.spawn(|| {
-            client::open_loop(addr, GRAPH, READ_RATE, &stop, || {
-                if read_rng.next_f64() < HOT_SHARE {
-                    hot[read_rng.next_below(hot.len() as u64) as usize]
-                } else {
-                    serve::uniform_pair(&mut read_rng, n)
-                }
-            })
-        });
-        let writes = write_deltas(addr, &steps);
-        stop.store(true, Ordering::Relaxed);
-        (reader.join().expect("read stream"), writes.0, writes.1)
+    let (reads, delta_s, delta_failed, writes_s) = t.cpu.measure(|| {
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                client::open_loop(addr, GRAPH, READ_RATE, &stop, || {
+                    if read_rng.next_f64() < HOT_SHARE {
+                        hot[read_rng.next_below(hot.len() as u64) as usize]
+                    } else {
+                        serve::uniform_pair(&mut read_rng, n)
+                    }
+                })
+            });
+            let started = Instant::now();
+            let writes = write_deltas(addr, &steps);
+            let writes_s = started.elapsed().as_secs_f64();
+            stop.store(true, Ordering::Relaxed);
+            (reader.join().expect("read stream"), writes.0, writes.1, writes_s)
+        })
     });
+    t.deltas_acked += steps.len() as u64 - delta_failed;
+    t.writes_s += writes_s;
     let window = TelemetrySnapshot::capture().since(&before);
     stage_times(&trace::collect_program_spans(), t);
     trace::note_telemetry(&format!("serve-write cycle {cycle} writes"), &window);

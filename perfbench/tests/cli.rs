@@ -5,43 +5,29 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// End-to-end metrics each workload prints (untraced).
-const END_TO_END: [(&str, &[&str]); 3] = [
-    ("scc-deep", &["setup_s", "peak_heap_mb", "scc_s", "scc_vs_tarjan"]),
-    ("serve-read", &["setup_s", "peak_heap_mb", "read_p50_ms", "read_qps"]),
-    ("serve-write", &["setup_s", "peak_heap_mb", "delta_p50_ms", "read_p50_ms"]),
-];
-
-/// A few per-layer metrics of each workload's traced run.
-const PER_LAYER: [(&str, &[&str]); 3] = [
+/// Workload-specific metrics each workload prints on its detail line
+/// (`end_to_end_detail` untraced, `per_layer_detail` traced).
+const DETAIL: [(&str, &[&str], &[&str]); 3] = [
     (
         "scc-deep",
-        &[
-            "graph.csr_build_s",
-            "runtime.busy_cores",
-            "core.scc_s.sqr_prime",
-            "core.labeling_s",
-            "core.rounds",
-            "baselines.tarjan_s",
-            "self.core_s",
-            "overhead.scc_s",
-        ],
+        &["scc_s", "scc_vs_tarjan"],
+        &["core.scc_s.sqr_prime", "core.first_scc_s", "baselines.tarjan_s.sd", "core.passes"],
     ),
     (
         "serve-read",
+        &[],
         &[
-            "engine.index.build_s",
             "engine.batch.memo_hit_ratio",
             "server.mean_batch",
             "server.http_s",
             "client.lateness_max_s",
             "self.client_s",
             "client.read_p99_ms",
-            "overhead.read_qps",
         ],
     ),
     (
         "serve-write",
+        &["read_p50_ms"],
         &[
             "engine.delta.apply_p95_s",
             "client.delta_p95_ms",
@@ -54,10 +40,32 @@ const PER_LAYER: [(&str, &[&str]); 3] = [
             "self.store_s",
             "client.read_p99_ms",
             "client.recover_s",
-            "overhead.delta_p50_ms",
+            "overhead.read_p50_ms",
         ],
     ),
 ];
+
+/// The metric names of one section of `BENCHMARK.json`, in order.
+fn declared(section: &str) -> Vec<String> {
+    let spec = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"))
+        .expect("BENCHMARK.json at the repository root");
+    let body = spec.split(&format!("\"{section}\"")).nth(1).expect("section present");
+    let body = body.split(']').next().expect("section is a list");
+    body.split("\"name\": \"")
+        .skip(1)
+        .filter_map(|s| s.split('"').next())
+        .map(String::from)
+        .collect()
+}
+
+/// Metric names of a `{name: {"value": v, "unit": u}, ...}` object, in order.
+fn names(line: &str) -> Vec<String> {
+    line.split("\": {\"value\": ")
+        .filter_map(|chunk| chunk.rsplit('"').next())
+        .take(line.matches("{\"value\": ").count())
+        .map(String::from)
+        .collect()
+}
 
 fn out_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -91,7 +99,6 @@ fn metric(line: &str, name: &str) -> Option<(f64, String)> {
 }
 
 fn assert_metrics(workload: &str, line: &str, names: &[&str]) {
-    assert!(line.starts_with("{\"correct\": true, \"attempted\": "), "{workload}: {line}");
     for name in names {
         let (value, unit) =
             metric(line, name).unwrap_or_else(|| panic!("{workload} lacks {name}: {line}"));
@@ -100,25 +107,46 @@ fn assert_metrics(workload: &str, line: &str, names: &[&str]) {
     }
 }
 
+/// The stdout line that starts with `{"<key>": `.
+fn keyed_line(output: &Output, key: &str) -> String {
+    let prefix = format!("{{\"{key}\": ");
+    String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no {key} line"))
+        .to_string()
+}
+
 #[test]
-fn every_workload_emits_its_metrics_with_units() {
-    for (workload, names) in END_TO_END {
+fn every_workload_emits_exactly_the_declared_end_to_end_metrics() {
+    let expected = declared("end_to_end");
+    assert!(!expected.is_empty());
+    for (workload, detail, _) in DETAIL {
         let output = run(workload, 0, &[]);
         assert!(output.status.success(), "{workload}: {}", String::from_utf8_lossy(&output.stderr));
         let line = last_line(&output);
-        assert_metrics(workload, &line, names);
+        assert!(line.starts_with("{\"correct\": true, \"attempted\": "), "{workload}: {line}");
+        assert_eq!(names(&line), expected, "{workload}: {line}");
+        assert_metrics(workload, &line, &expected.iter().map(String::as_str).collect::<Vec<_>>());
         assert!(line.contains("\"failed\": 0, "), "{workload} had failed operations: {line}");
+        assert_metrics(workload, &keyed_line(&output, "end_to_end_detail"), detail);
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(stdout.contains("\"provenance\": {\"nproc\": "), "{workload}: no provenance");
     }
 }
 
 #[test]
-fn traced_runs_emit_per_layer_metrics_and_spans() {
-    for (workload, names) in PER_LAYER {
+fn traced_runs_emit_exactly_the_declared_per_layer_metrics_and_spans() {
+    let expected = declared("per_layer");
+    assert!(expected.len() > 20);
+    for (workload, _, detail) in DETAIL {
         let output = run(workload, 1, &[]);
         assert!(output.status.success(), "{workload}: {}", String::from_utf8_lossy(&output.stderr));
-        assert_metrics(workload, &last_line(&output), names);
+        let line = last_line(&output);
+        assert!(line.starts_with("{\"correct\": true, \"attempted\": "), "{workload}: {line}");
+        assert_eq!(names(&line), expected, "{workload}: {line}");
+        assert_metrics(workload, &line, &expected.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_metrics(workload, &keyed_line(&output, "per_layer_detail"), detail);
         let trace = out_dir(&format!("{workload}-1-")).join(format!("trace-{workload}-7.jsonl"));
         let text = std::fs::read_to_string(&trace).expect("trace file written");
         assert!(text.lines().count() > 10, "{workload}: trace has no spans");
@@ -126,19 +154,10 @@ fn traced_runs_emit_per_layer_metrics_and_spans() {
 }
 
 #[test]
-fn the_metric_lists_match_benchmark_json() {
-    let spec = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"))
-        .expect("BENCHMARK.json at the repository root");
-    let section = spec.split("\"end_to_end\"").nth(1).expect("end_to_end section");
-    let section = section.split("\"per_layer\"").next().expect("end_to_end before per_layer");
-    let mut declared: Vec<&str> =
-        section.split("\"name\": \"").skip(1).filter_map(|s| s.split('"').next()).collect();
-    let mut emitted: Vec<&str> =
-        END_TO_END.iter().flat_map(|(_, names)| names.iter().copied()).collect();
-    declared.sort_unstable();
-    emitted.sort_unstable();
-    emitted.dedup();
-    assert_eq!(declared, emitted);
+fn names_reads_metric_names_in_order() {
+    let line = "{\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": \
+                {\"b.x_s\": {\"value\": 1.5, \"unit\": \"s\"}, \"a\": {\"value\": 2.0, \"unit\": \"ms\"}}}";
+    assert_eq!(names(line), vec!["b.x_s".to_string(), "a".to_string()]);
 }
 
 #[test]
