@@ -42,6 +42,8 @@ pub struct HashBag<T: BagItem> {
     denoms: Box<[u64]>,
     /// A salt decorrelating slot choice and sampling across bags.
     salt: u64,
+    /// The element bound the bag was sized for.
+    max_elems: usize,
     cfg: BagConfig,
     _marker: std::marker::PhantomData<T>,
 }
@@ -85,8 +87,20 @@ impl<T: BagItem> HashBag<T> {
             cur: AtomicUsize::new(0),
             denoms: denoms.into_boxed_slice(),
             salt: hash64(max_elems as u64 ^ 0xba6),
+            max_elems,
             cfg,
             _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Makes an empty bag able to hold `max_elems` elements, replacing it
+    /// by a larger one if it was sized for fewer. The old slots are freed
+    /// before the new ones are allocated, so two generations are never
+    /// alive at once.
+    pub fn reserve(&mut self, max_elems: usize) {
+        if max_elems > self.max_elems {
+            self.slots = Box::default();
+            *self = Self::with_config(max_elems, self.cfg);
         }
     }
 
@@ -353,6 +367,18 @@ mod tests {
             used <= 8 * 10_000 + bag.config().lambda * 4,
             "used prefix {used} too large for 10k elements"
         );
+    }
+
+    #[test]
+    fn reserve_keeps_a_big_enough_bag_and_grows_a_small_one() {
+        let mut bag: HashBag<u64> = HashBag::new(1000);
+        let cap = bag.capacity();
+        bag.reserve(500);
+        assert_eq!(bag.capacity(), cap);
+        bag.reserve(100_000);
+        assert!(bag.capacity() as f64 >= 100_000.0 / bag.config().alpha);
+        par_for(100_000, |i| bag.insert(i as u64));
+        assert_eq!(bag.extract_all().len(), 100_000);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pscc_core::config::SccConfig;
-use pscc_core::scc::{label_from_multi, label_from_single, trim, LabelScratch};
+use pscc_core::scc::{label_from_multi, label_from_single, trim};
 use pscc_core::state::SccState;
 use pscc_core::stats::{SccStats, SearchRecord};
 use pscc_core::verify::component_stats;
@@ -47,7 +47,6 @@ pub fn gbbs_scc(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccStats) {
     stats.trimmed = stats.breakdown.run("trim", || trim(g, &state, false));
     let mut unfinished = n - stats.trimmed;
     let perm = stats.breakdown.run("other", || random_permutation(n, cfg.seed));
-    let scratch = stats.breakdown.run("other", || LabelScratch::new(n));
     // Per-search parent array for the edge-revisit scheme.
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NONE)).collect();
 
@@ -127,7 +126,7 @@ pub fn gbbs_scc(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccStats) {
             });
             let newly = stats
                 .breakdown
-                .run("labeling", || label_from_multi(&state, &t_out, &t_in, &scratch));
+                .run("labeling", || label_from_multi(&state, &mut t_out.keys(), &mut t_in.keys()));
             unfinished -= newly;
         }
     }

@@ -13,5 +13,13 @@ pub mod multi;
 pub mod single;
 
 pub use bfs::{parallel_bfs, BfsParams, BfsResult};
-pub use multi::{multi_reach, MultiReachOutcome};
+pub use multi::{multi_reach, MultiReachOutcome, PairSet};
 pub use single::{single_reach, SingleReachOutcome};
+
+/// Block size for a parallel pass over a frontier of `len` tasks: about
+/// 16 blocks per worker, so uneven local searches still balance, while
+/// the per-block costs — claiming the block, a local queue, one update of
+/// the shared counters — stay off the per-task path.
+pub(crate) fn frontier_grain(len: usize) -> usize {
+    (len / (16 * pscc_runtime::num_workers())).max(1)
+}

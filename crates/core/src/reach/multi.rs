@@ -6,16 +6,24 @@
 //! via the hash bag (or a VGC local queue first). Dense mode is not
 //! applicable here (§4.2): finding one in-neighbor in the frontier says
 //! nothing about the *other* sources that may reach a vertex.
+//!
+//! Every added pair is also recorded in a list — including pairs a VGC
+//! local search adds and expands within one round, which never reach a
+//! frontier — so labeling and the next reset cost time proportional to
+//! the pairs, not to the table's slot count. Workers claim the frontier in
+//! blocks and hand back each block's pairs, overflowed keys and edge count
+//! under one lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
 use pscc_runtime::{par_range, Timer};
 use pscc_table::{pack_pair, pair_source, pair_vertex, Insert, PairTable};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::ReachParams;
+use crate::reach::frontier_grain;
 
 /// Statistics of one multi-reachability search.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -31,73 +39,164 @@ pub struct MultiReachOutcome {
     pub edges_scanned: u64,
 }
 
+/// The reachability pairs of one search: a phase-concurrent table that
+/// deduplicates them and the list of the table's keys. One `PairSet` per
+/// direction serves every batch of an SCC computation; [`PairSet::reset`]
+/// clears only the slots the previous batch used.
+pub struct PairSet {
+    table: PairTable,
+    /// Every key of `table`, in no particular order.
+    pairs: Vec<u64>,
+}
+
+impl PairSet {
+    /// An empty set sized for about `capacity` pairs.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self { table: PairTable::with_capacity(capacity), pairs: Vec::new() }
+    }
+
+    /// Empties the set and sizes its table for about `capacity` pairs (see
+    /// [`PairTable::reset`]: a table of the right size is kept and only
+    /// the slots of the stored pairs are cleared).
+    pub fn reset(&mut self, capacity: usize) {
+        self.table.reset(&self.pairs, capacity);
+        self.pairs.clear();
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// True if there are no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The pair table.
+    pub fn table(&self) -> &PairTable {
+        &self.table
+    }
+
+    /// The packed pairs, in no particular order.
+    pub fn pairs(&self) -> &[u64] {
+        &self.pairs
+    }
+
+    /// The packed pairs, for reordering in place (labeling sorts them).
+    pub fn pairs_mut(&mut self) -> &mut [u64] {
+        &mut self.pairs
+    }
+
+    /// Grows the table, timing the rehash into `out.resize_seconds`.
+    fn grow(&mut self, out: &mut MultiReachOutcome) {
+        let t = Timer::start();
+        self.table.grow();
+        out.resize_seconds += t.seconds();
+    }
+}
+
+/// What the blocks of one round hand back.
+#[derive(Default)]
+struct Harvest {
+    /// Pairs added to the table.
+    added: Vec<u64>,
+    /// Keys the table had no room for, to retry after growing it.
+    overflow: Vec<u64>,
+    /// Edge inspections.
+    scanned: u64,
+}
+
+impl Harvest {
+    /// Moves a block's harvest into the round's: one lock per block.
+    fn absorb(round: &Mutex<Harvest>, block: &mut Harvest) {
+        let mut round = round.lock().expect("harvest lock");
+        round.added.append(&mut block.added);
+        round.overflow.append(&mut block.overflow);
+        round.scanned += block.scanned;
+    }
+
+    /// Records the outcome of inserting `key`; true if it was added.
+    #[inline]
+    fn record(&mut self, key: u64, outcome: Insert) -> bool {
+        match outcome {
+            Insert::Added => {
+                self.added.push(key);
+                true
+            }
+            Insert::Present => false,
+            Insert::Full => {
+                self.overflow.push(key);
+                false
+            }
+        }
+    }
+}
+
 /// Runs a multi-reachability search from `sources` following out-edges if
 /// `forward` (in-edges otherwise), restricted to same-label subgraphs.
-/// Reachable pairs accumulate in `table` (which must be empty on entry and
-/// may be grown by this call).
+/// Reachable pairs accumulate in `set`, which must be empty on entry and
+/// may have its table grown by this call. `bag` holds the frontier between
+/// rounds; it is grown with the table and left empty.
 pub fn multi_reach(
     g: &DiGraph,
     sources: &[V],
     forward: bool,
     labels: &[AtomicU64],
     params: &ReachParams,
-    table: &mut PairTable,
+    set: &mut PairSet,
+    bag: &mut HashBag<u64>,
 ) -> MultiReachOutcome {
+    debug_assert!(set.is_empty(), "multi_reach needs an empty pair set");
     let mut out = MultiReachOutcome::default();
     if sources.is_empty() {
         return out;
     }
     let csr = g.csr_dir(forward);
-    let edges = AtomicU64::new(0);
+    let mut edges = 0u64;
 
     // Seed (s, s) for every source.
     let mut frontier: Vec<u64> = Vec::with_capacity(sources.len());
     for &s in sources {
         let key = pack_pair(s, s);
         loop {
-            match table.insert(key) {
+            match set.table.insert(key) {
                 Insert::Added => {
                     frontier.push(key);
                     break;
                 }
                 Insert::Present => break,
-                Insert::Full => {
-                    let t = Timer::start();
-                    table.grow();
-                    out.resize_seconds += t.seconds();
-                }
+                Insert::Full => set.grow(&mut out),
             }
         }
     }
-
-    let mut bag: HashBag<u64> = HashBag::with_config(table.slot_count(), params.bag);
-    let overflow: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    set.pairs.extend_from_slice(&frontier);
+    bag.reserve(set.table.slot_count());
 
     while !frontier.is_empty() {
         out.rounds += 1;
 
         // Proactive growth keeps the load factor reasonable so Full events
         // (which force a mid-search rebuild) stay rare.
-        if table.len() * 2 >= table.slot_count() {
-            let t = Timer::start();
-            table.grow();
-            out.resize_seconds += t.seconds();
-            bag = HashBag::with_config(table.slot_count(), params.bag);
+        if set.table.len() * 2 >= set.table.slot_count() {
+            set.grow(&mut out);
+            bag.reserve(set.table.slot_count());
         }
 
+        let before = set.pairs.len();
+        let round =
+            Mutex::new(Harvest { added: std::mem::take(&mut set.pairs), ..Harvest::default() });
         {
             // Sharing &PairTable across tasks is safe: insert/contains are
             // phase-concurrent.
-            let table = &*table;
-            let bag_ref = &bag;
-            let overflow = &overflow;
+            let table = &set.table;
+            let bag = &*bag;
+            let round = &round;
             let tau = params.effective_tau(frontier.len());
-            par_range(0..frontier.len(), 1, &|r| {
+            par_range(0..frontier.len(), frontier_grain(frontier.len()), &|r| {
                 let mut queue: Vec<u64> = Vec::with_capacity(tau.min(1 << 14));
-                let mut spill: Vec<u64> = Vec::new();
-                let mut scanned = 0u64;
-                for i in r {
-                    let pair = frontier[i];
+                let mut block = Harvest::default();
+                for &pair in &frontier[r] {
                     let (x0, s) = (pair_vertex(pair), pair_source(pair));
                     let lx = labels[x0 as usize].load(Ordering::Relaxed);
                     let deg = csr.degree(x0);
@@ -112,19 +211,14 @@ pub fn multi_reach(
                             head += 1;
                             for &u in csr.neighbors(x) {
                                 t += 1;
-                                scanned += 1;
                                 if labels[u as usize].load(Ordering::Relaxed) == lx {
                                     let key = pack_pair(u, s);
-                                    match table.insert(key) {
-                                        Insert::Added => {
-                                            if queue.len() < tau {
-                                                queue.push(key);
-                                            } else {
-                                                bag_ref.insert(key);
-                                            }
+                                    if block.record(key, table.insert_uncounted(key)) {
+                                        if queue.len() < tau {
+                                            queue.push(key);
+                                        } else {
+                                            bag.insert(key);
                                         }
-                                        Insert::Present => {}
-                                        Insert::Full => spill.push(key),
                                     }
                                 }
                             }
@@ -132,61 +226,59 @@ pub fn multi_reach(
                                 break;
                             }
                         }
+                        block.scanned += t as u64;
                         for &key in &queue[head..] {
-                            bag_ref.insert(key);
+                            bag.insert(key);
                         }
                     } else {
                         // Standard scan, nested-parallel for heavy vertices.
-                        scanned += deg as u64;
+                        block.scanned += deg as u64;
                         let ns = csr.neighbors(x0);
                         par_range(0..ns.len(), 2048, &|rr| {
+                            let mut inner = Harvest::default();
                             for &u in &ns[rr] {
                                 if labels[u as usize].load(Ordering::Relaxed) == lx {
                                     let key = pack_pair(u, s);
-                                    match table.insert(key) {
-                                        Insert::Added => bag_ref.insert(key),
-                                        Insert::Present => {}
-                                        Insert::Full => {
-                                            overflow.lock().expect("overflow lock").push(key)
-                                        }
+                                    if inner.record(key, table.insert_uncounted(key)) {
+                                        bag.insert(key);
                                     }
                                 }
                             }
+                            Harvest::absorb(round, &mut inner);
                         });
                     }
                 }
-                if !spill.is_empty() {
-                    overflow.lock().expect("overflow lock").append(&mut spill);
-                }
-                edges.fetch_add(scanned, Ordering::Relaxed);
+                Harvest::absorb(round, &mut block);
             });
         }
+        let harvest = round.into_inner().unwrap_or_else(PoisonError::into_inner);
+        set.pairs = harvest.added;
+        set.table.add_len(set.pairs.len() - before);
+        edges += harvest.scanned;
 
         let mut next = bag.extract_all();
         // Resolve overflowed inserts: grow, retry, and splice the winners
         // into the next frontier. Loops until the table absorbs everything.
-        loop {
-            let pending = std::mem::take(&mut *overflow.lock().expect("overflow lock"));
-            if pending.is_empty() {
-                break;
-            }
-            let t = Timer::start();
-            table.grow();
-            out.resize_seconds += t.seconds();
-            bag = HashBag::with_config(table.slot_count(), params.bag);
-            for key in pending {
-                match table.insert(key) {
-                    Insert::Added => next.push(key),
+        let mut pending = harvest.overflow;
+        while !pending.is_empty() {
+            set.grow(&mut out);
+            bag.reserve(set.table.slot_count());
+            for key in std::mem::take(&mut pending) {
+                match set.table.insert(key) {
+                    Insert::Added => {
+                        next.push(key);
+                        set.pairs.push(key);
+                    }
                     Insert::Present => {}
-                    Insert::Full => overflow.lock().expect("overflow lock").push(key),
+                    Insert::Full => pending.push(key),
                 }
             }
         }
         frontier = next;
     }
 
-    out.pairs_added = table.len();
-    out.edges_scanned = edges.load(Ordering::Relaxed);
+    out.pairs_added = set.len();
+    out.edges_scanned = edges;
     out
 }
 
@@ -221,6 +313,31 @@ mod tests {
         pairs
     }
 
+    /// The set's pairs, checked against the table's keys: every added
+    /// pair must be recorded exactly once.
+    fn recorded(set: &PairSet) -> HashSet<(V, V)> {
+        let mut listed = set.pairs().to_vec();
+        let mut stored = set.table().keys();
+        listed.sort_unstable();
+        stored.sort_unstable();
+        assert_eq!(listed, stored, "recorded pairs differ from the table's keys");
+        assert_eq!(set.table().len(), set.len());
+        listed.into_iter().map(|k| (pair_vertex(k), pair_source(k))).collect()
+    }
+
+    fn search(
+        g: &DiGraph,
+        sources: &[V],
+        forward: bool,
+        labels: &[AtomicU64],
+        params: &ReachParams,
+        set: &mut PairSet,
+    ) -> (HashSet<(V, V)>, MultiReachOutcome) {
+        let mut bag = HashBag::new(0);
+        let outcome = multi_reach(g, sources, forward, labels, params, set, &mut bag);
+        (recorded(set), outcome)
+    }
+
     fn run(
         g: &DiGraph,
         sources: &[V],
@@ -228,11 +345,7 @@ mod tests {
         params: &ReachParams,
     ) -> (HashSet<(V, V)>, MultiReachOutcome) {
         let labels = fresh_labels(g.n());
-        let mut table = PairTable::with_capacity(1024);
-        let outcome = multi_reach(g, sources, forward, &labels, params, &mut table);
-        let got: HashSet<(V, V)> =
-            table.keys().into_iter().map(|k| (pair_vertex(k), pair_source(k))).collect();
-        (got, outcome)
+        search(g, sources, forward, &labels, params, &mut PairSet::with_capacity(1024))
     }
 
     #[test]
@@ -291,10 +404,8 @@ mod tests {
         let g = gnm_digraph(300, 1500, 7);
         let sources: Vec<V> = (0..20).collect();
         let labels = fresh_labels(g.n());
-        let mut table = PairTable::with_capacity(1); // pathological start
-        let outcome = multi_reach(&g, &sources, true, &labels, &ReachParams::default(), &mut table);
-        let got: HashSet<(V, V)> =
-            table.keys().into_iter().map(|k| (pair_vertex(k), pair_source(k))).collect();
+        let mut set = PairSet::with_capacity(1); // pathological start
+        let (got, outcome) = search(&g, &sources, true, &labels, &ReachParams::default(), &mut set);
         assert_eq!(got, seq_pairs(&g, &sources, true));
         assert!(outcome.resize_seconds >= 0.0);
         assert_eq!(outcome.pairs_added, got.len());
@@ -307,10 +418,8 @@ mod tests {
         let labels = fresh_labels(4);
         labels[2].store(5, Ordering::Relaxed);
         labels[3].store(5, Ordering::Relaxed);
-        let mut table = PairTable::with_capacity(64);
-        multi_reach(&g, &[0], true, &labels, &ReachParams::default(), &mut table);
-        let got: HashSet<(V, V)> =
-            table.keys().into_iter().map(|k| (pair_vertex(k), pair_source(k))).collect();
+        let mut set = PairSet::with_capacity(64);
+        let (got, _) = search(&g, &[0], true, &labels, &ReachParams::default(), &mut set);
         let want: HashSet<(V, V)> = [(0, 0), (1, 0)].into_iter().collect();
         assert_eq!(got, want);
     }
@@ -323,5 +432,37 @@ mod tests {
         let (got, outcome) = run(&g, &[3, 17], true, &ReachParams::default());
         assert_eq!(got.len(), 80);
         assert_eq!(outcome.pairs_added, 80);
+    }
+
+    #[test]
+    fn a_reset_set_serves_a_smaller_search() {
+        // A big search grows the set mid-search; the reset set then serves
+        // a smaller one, in both modes, and records exactly its pairs.
+        let g = gnm_digraph(300, 1500, 9);
+        let labels = fresh_labels(g.n());
+        for &vgc in &[false, true] {
+            let params = ReachParams { vgc, ..ReachParams::default() };
+            let mut set = PairSet::with_capacity(1);
+            let big: Vec<V> = (0..40).collect();
+            let (got, _) = search(&g, &big, true, &labels, &params, &mut set);
+            assert_eq!(got, seq_pairs(&g, &big, true));
+            let slots = set.table().slot_count();
+            set.reset(slots / 2);
+            assert!(set.is_empty() && set.table().is_empty());
+            assert_eq!(set.table().slot_count(), slots, "a table of the right size is kept");
+            let (got, _) = search(&g, &[7, 99], false, &labels, &params, &mut set);
+            assert_eq!(got, seq_pairs(&g, &[7, 99], false), "vgc={vgc}");
+        }
+    }
+
+    #[test]
+    fn pairs_expanded_inside_a_local_search_are_recorded() {
+        // On a path every pair after the seed is added and expanded by the
+        // local search within round one: none reaches a frontier.
+        let g = path_digraph(100);
+        let (got, outcome) = run(&g, &[0], true, &ReachParams::default());
+        assert_eq!(outcome.rounds, 1);
+        assert_eq!(got.len(), 100);
+        assert_eq!(outcome.pairs_added, 100);
     }
 }

@@ -13,6 +13,7 @@ use pscc_graph::{DiGraph, V};
 use pscc_runtime::{pack_index, par_range, AtomicBits};
 
 use crate::config::ReachParams;
+use crate::reach::frontier_grain;
 
 /// Statistics of one single-reachability search.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -169,11 +170,10 @@ pub fn single_reach(
         } else {
             // Sparse round: hash-bag frontier, optional VGC local search.
             let tau = params.effective_tau(frontier.len());
-            par_range(0..frontier.len(), 1, &|r| {
+            par_range(0..frontier.len(), frontier_grain(frontier.len()), &|r| {
                 let mut queue: Vec<V> = Vec::with_capacity(tau.min(1 << 14));
                 let mut scanned = 0u64;
-                for i in r {
-                    let v = frontier[i];
+                for &v in &frontier[r] {
                     let lv = labels[v as usize].load(Ordering::Relaxed);
                     let deg = csr.degree(v);
                     if params.vgc && deg < tau {

@@ -9,44 +9,27 @@
 //! connected sources is an SCC invariant.
 //!
 //! Unfinished vertices get `L[v] ← hash(L[v], R1, R2)` (line 12), realized
-//! as a commutative XOR accumulation of per-source hashes (so the parallel
-//! accumulation order does not matter) folded into the previous label.
+//! as an XOR of per-source hashes (order-independent) folded into the
+//! previous label.
+//!
+//! A multi-search batch visits only the vertices its pairs touch: both
+//! pair lists are sorted, which groups each vertex's forward and backward
+//! sources, and one task walks each vertex's group once — computing its
+//! signatures and strongly connected sources, then finishing or relabeling
+//! it, with plain loads and stores. Vertices no pair touches keep their
+//! label. That refines the partition exactly as hashing them with empty
+//! signatures would: vertices of one SCC are reached by, and reach, the
+//! same sources, so they are always touched together, and a touched
+//! vertex's new label differs from every untouched label unless 64-bit
+//! hashes collide.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pscc_runtime::rng::{hash64, hash_combine};
-use pscc_runtime::{atomic_max_u32, par_for, AtomicBits};
-use pscc_table::{pair_source, pair_vertex, PairTable};
+use pscc_runtime::{num_workers, par_for, par_for_each_mut, par_for_grain, AtomicBits};
+use pscc_table::{pair_source, pair_vertex};
 
 use crate::state::{SccState, FINAL_TAG};
-
-/// Scratch arrays reused across batches by [`label_from_multi`].
-pub struct LabelScratch {
-    fwd_sig: Vec<AtomicU64>,
-    bwd_sig: Vec<AtomicU64>,
-    /// `winner[v] = s + 1` for the max source `s` strongly connected to `v`
-    /// this batch (0 = none).
-    winner: Vec<AtomicU32>,
-}
-
-impl LabelScratch {
-    /// Allocates scratch for an `n`-vertex graph.
-    pub fn new(n: usize) -> Self {
-        Self {
-            fwd_sig: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            bwd_sig: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            winner: (0..n).map(|_| AtomicU32::new(0)).collect(),
-        }
-    }
-
-    fn clear(&self) {
-        par_for(self.fwd_sig.len(), |i| {
-            self.fwd_sig[i].store(0, Ordering::Relaxed);
-            self.bwd_sig[i].store(0, Ordering::Relaxed);
-            self.winner[i].store(0, Ordering::Relaxed);
-        });
-    }
-}
 
 /// Labeling after the first-SCC single-reachability searches: `fvis`/`bvis`
 /// are the forward/backward visited sets from source `s0`. Returns the
@@ -72,51 +55,87 @@ pub fn label_from_single(state: &SccState, s0: u32, fvis: &AtomicBits, bvis: &At
     newly.load(Ordering::Relaxed)
 }
 
-/// Labeling after a batch of multi-reachability searches with forward pair
-/// table `t_out` and backward table `t_in`. Returns the number of newly
-/// finished vertices.
-pub fn label_from_multi(
-    state: &SccState,
-    t_out: &PairTable,
-    t_in: &PairTable,
-    scratch: &LabelScratch,
-) -> usize {
-    scratch.clear();
+/// Pairs per labeling task, at least.
+const PART: usize = 2048;
 
-    // Forward pairs: accumulate signatures and detect strong connections.
-    t_out.for_each(|key| {
-        let v = pair_vertex(key) as usize;
-        let s = pair_source(key);
-        scratch.fwd_sig[v].fetch_xor(hash64((s as u64) << 1 | 1), Ordering::Relaxed);
-        if t_in.contains(key) {
-            atomic_max_u32(&scratch.winner[v], s + 1);
-        }
-    });
-    // Backward pairs: signature only.
-    t_in.for_each(|key| {
-        let v = pair_vertex(key) as usize;
-        let s = pair_source(key);
-        scratch.bwd_sig[v].fetch_xor(hash64((s as u64) << 1), Ordering::Relaxed);
-    });
-
+/// Labeling after a batch of multi-reachability searches whose forward
+/// and backward searches added the packed pairs `fwd` and `bwd` (each
+/// pair once, in any order; both are sorted in place). Returns the number
+/// of newly finished vertices.
+pub fn label_from_multi(state: &SccState, fwd: &mut [u64], bwd: &mut [u64]) -> usize {
+    // One sequential sort per list, both at once: splitting a list of a
+    // few thousand pairs across workers costs more in merging than it
+    // saves.
+    par_for_each_mut(&mut [&mut *fwd, &mut *bwd], |pairs| pairs.sort_unstable());
+    let (fwd, bwd) = (&*fwd, &*bwd);
+    // Cut both lists at the same vertices into parts of about equal size.
+    let longer = if fwd.len() >= bwd.len() { fwd } else { bwd };
+    let parts = (longer.len() / PART).clamp(1, 8 * num_workers());
+    let mut cuts: Vec<u64> =
+        (1..parts).map(|k| (pair_vertex(longer[k * longer.len() / parts]) as u64) << 32).collect();
+    cuts.dedup();
     let newly = AtomicUsize::new(0);
-    par_for(state.n(), |v| {
-        if state.is_done(v as u32) {
-            return;
-        }
-        let w = scratch.winner[v].load(Ordering::Relaxed);
-        if w > 0 {
-            state.finish(v as u32, w - 1);
-            newly.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let f = scratch.fwd_sig[v].load(Ordering::Relaxed);
-            let b = scratch.bwd_sig[v].load(Ordering::Relaxed);
-            let old = state.labels[v].load(Ordering::Relaxed);
-            let new = hash_combine(hash_combine(old, f), b) & !FINAL_TAG;
-            state.labels[v].store(new, Ordering::Relaxed);
-        }
+    par_for_grain(cuts.len() + 1, 1, |k| {
+        let lo = if k == 0 { 0 } else { cuts[k - 1] };
+        let hi = cuts.get(k).copied().unwrap_or(u64::MAX);
+        let finished = label_part(state, key_range(fwd, lo, hi), key_range(bwd, lo, hi));
+        newly.fetch_add(finished, Ordering::Relaxed);
     });
     newly.load(Ordering::Relaxed)
+}
+
+/// The keys of sorted `pairs` in `lo..hi`.
+fn key_range(pairs: &[u64], lo: u64, hi: u64) -> &[u64] {
+    &pairs[pairs.partition_point(|&p| p < lo)..pairs.partition_point(|&p| p < hi)]
+}
+
+/// Labels the vertices of sorted pair lists `fwd` and `bwd`, walking both
+/// in step so each vertex's forward and backward sources are visited
+/// together, in increasing order. Returns the number of finished vertices.
+fn label_part(state: &SccState, fwd: &[u64], bwd: &[u64]) -> usize {
+    let (mut i, mut j) = (0, 0);
+    let mut finished = 0;
+    while i < fwd.len() || j < bwd.len() {
+        let v = pair_vertex(
+            fwd.get(i).copied().unwrap_or(u64::MAX).min(bwd.get(j).copied().unwrap_or(u64::MAX)),
+        );
+        let (mut f, mut b, mut winner) = (0u64, 0u64, None);
+        loop {
+            let x = fwd.get(i).copied().filter(|&p| pair_vertex(p) == v);
+            let y = bwd.get(j).copied().filter(|&p| pair_vertex(p) == v);
+            let (in_f, in_b) = match (x, y) {
+                (Some(x), Some(y)) => (x <= y, y <= x),
+                (Some(_), None) => (true, false),
+                (None, Some(_)) => (false, true),
+                (None, None) => break,
+            };
+            let s = pair_source(if in_f { fwd[i] } else { bwd[j] });
+            if in_f {
+                f ^= hash64((s as u64) << 1 | 1);
+                i += 1;
+            }
+            if in_b {
+                b ^= hash64((s as u64) << 1);
+                j += 1;
+            }
+            if in_f && in_b {
+                // Sources ascend, so the last one is the maximum.
+                winner = Some(s);
+            }
+        }
+        if state.is_done(v) {
+            continue;
+        }
+        if let Some(s) = winner {
+            state.finish(v, s);
+            finished += 1;
+        } else {
+            let old = state.labels[v as usize].load(Ordering::Relaxed);
+            let new = hash_combine(hash_combine(old, f), b) & !FINAL_TAG;
+            state.labels[v as usize].store(new, Ordering::Relaxed);
+        }
+    }
+    finished
 }
 
 #[cfg(test)]
@@ -148,18 +167,11 @@ mod tests {
     #[test]
     fn multi_labeling_uses_max_strongly_connected_source() {
         let state = SccState::new(3);
-        let scratch = LabelScratch::new(3);
-        let t_out = PairTable::with_capacity(64);
-        let t_in = PairTable::with_capacity(64);
         // Vertex 0 strongly connected to sources 1 and 2 (and others only
         // one-directionally).
-        for s in [1u32, 2] {
-            t_out.insert(pack_pair(0, s));
-            t_in.insert(pack_pair(0, s));
-        }
-        t_out.insert(pack_pair(1, 1));
-        t_in.insert(pack_pair(1, 1));
-        let newly = label_from_multi(&state, &t_out, &t_in, &scratch);
+        let mut fwd = vec![pack_pair(0, 1), pack_pair(0, 2), pack_pair(1, 1)];
+        let mut bwd = vec![pack_pair(0, 2), pack_pair(1, 1), pack_pair(0, 1)];
+        let newly = label_from_multi(&state, &mut fwd, &mut bwd);
         assert_eq!(newly, 2);
         assert_eq!(state.label(0), FINAL_TAG | 2, "max source wins");
         assert_eq!(state.label(1), FINAL_TAG | 1);
@@ -168,14 +180,10 @@ mod tests {
     #[test]
     fn multi_labeling_signatures_distinguish_reach_sets() {
         let state = SccState::new(4);
-        let scratch = LabelScratch::new(4);
-        let t_out = PairTable::with_capacity(64);
-        let t_in = PairTable::with_capacity(64);
         // v1 and v2 reached by source 5 forward; v3 backward only.
-        t_out.insert(pack_pair(1, 5));
-        t_out.insert(pack_pair(2, 5));
-        t_in.insert(pack_pair(3, 5));
-        let newly = label_from_multi(&state, &t_out, &t_in, &scratch);
+        let mut fwd = vec![pack_pair(1, 5), pack_pair(2, 5)];
+        let mut bwd = vec![pack_pair(3, 5)];
+        let newly = label_from_multi(&state, &mut fwd, &mut bwd);
         assert_eq!(newly, 0);
         assert_eq!(state.label(1), state.label(2));
         assert_ne!(state.label(1), state.label(3));
@@ -188,32 +196,59 @@ mod tests {
     fn labeling_skips_done_vertices() {
         let state = SccState::new(2);
         state.finish(0, 0);
-        let scratch = LabelScratch::new(2);
-        let t_out = PairTable::with_capacity(8);
-        let t_in = PairTable::with_capacity(8);
-        t_out.insert(pack_pair(0, 1));
-        t_in.insert(pack_pair(0, 1));
-        let newly = label_from_multi(&state, &t_out, &t_in, &scratch);
+        let mut fwd = vec![pack_pair(0, 1)];
+        let mut bwd = vec![pack_pair(0, 1)];
+        let newly = label_from_multi(&state, &mut fwd, &mut bwd);
         assert_eq!(newly, 0);
         assert_eq!(state.label(0), FINAL_TAG, "done label untouched");
     }
 
     #[test]
     fn signature_accumulation_is_order_independent() {
-        // Two scratch runs inserting pairs in different orders must agree.
+        // Two runs listing the pairs in different orders must agree.
         let mk = |order: &[(u32, u32)]| {
             let state = SccState::new(2);
-            let scratch = LabelScratch::new(2);
-            let t_out = PairTable::with_capacity(64);
-            let t_in = PairTable::with_capacity(64);
-            for &(v, s) in order {
-                t_out.insert(pack_pair(v, s));
-            }
-            label_from_multi(&state, &t_out, &t_in, &scratch);
+            let mut fwd: Vec<u64> = order.iter().map(|&(v, s)| pack_pair(v, s)).collect();
+            label_from_multi(&state, &mut fwd, &mut []);
             state.label(0)
         };
         let a = mk(&[(0, 1), (0, 2), (0, 3)]);
         let b = mk(&[(0, 3), (0, 1), (0, 2)]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn untouched_vertices_keep_their_label_and_finished_ones_are_skipped() {
+        let n = 20_000u32;
+        let state = SccState::new(n as usize);
+        for v in 0..n {
+            state.labels[v as usize].store(hash64(v as u64) & !FINAL_TAG, Ordering::Relaxed);
+        }
+        state.finish(7, 3);
+        // Enough pairs for several parts: every third vertex is touched
+        // forward by sources 1 and 2, every sixth also backward by 2, and
+        // finished vertex 7 by both.
+        let touched = |v: u32| v.is_multiple_of(3) || v == 7;
+        let mut fwd: Vec<u64> = (0..n)
+            .filter(|&v| touched(v))
+            .flat_map(|v| [pack_pair(v, 1), pack_pair(v, 2)])
+            .collect();
+        let mut bwd: Vec<u64> =
+            (0..n).filter(|&v| v.is_multiple_of(6) || v == 7).map(|v| pack_pair(v, 2)).collect();
+        let before: Vec<u64> = (0..n).map(|v| state.label(v)).collect();
+        let newly = pscc_runtime::with_threads(4, || label_from_multi(&state, &mut fwd, &mut bwd));
+        assert_eq!(newly as u32, n.div_ceil(6), "every sixth vertex finishes");
+        assert_eq!(state.label(7), FINAL_TAG | 3, "finished vertex skipped");
+        for v in (0..n).filter(|&v| v != 7) {
+            let now = state.label(v);
+            if v.is_multiple_of(6) {
+                assert_eq!(now, FINAL_TAG | 2, "v={v}");
+            } else if v.is_multiple_of(3) {
+                assert_ne!(now, before[v as usize], "touched v={v} relabeled");
+                assert_eq!(now & FINAL_TAG, 0);
+            } else {
+                assert_eq!(now, before[v as usize], "untouched v={v} kept its label");
+            }
+        }
     }
 }

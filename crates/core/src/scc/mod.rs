@@ -7,23 +7,28 @@
 //! by a labeling step that finishes strongly connected vertices and
 //! refreshes cross-edge-pruning signatures. Pair tables are sized with the
 //! §4.5 heuristic.
+//!
+//! The search scratch — one [`PairSet`] per direction and the frontier
+//! hash bag — is allocated once per call and reused by every batch, so a
+//! batch costs time in proportion to the pairs it produces, not to `n` or
+//! to the largest table an earlier batch needed.
 
 pub mod label;
 pub mod trim;
 
 use std::time::Duration;
 
+use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
 use pscc_runtime::{random_permutation, AtomicBits, Timer};
-use pscc_table::{next_table_capacity, PairTable};
+use pscc_table::next_table_capacity;
 
 use crate::config::SccConfig;
-use crate::reach::{multi_reach, single_reach};
-use crate::state::SccState;
+use crate::reach::{multi_reach, single_reach, PairSet};
+use crate::state::{SccState, FINAL_TAG};
 use crate::stats::{SccStats, SearchRecord};
-use crate::verify::component_stats;
 
-pub use label::{label_from_multi, label_from_single, LabelScratch};
+pub use label::{label_from_multi, label_from_single};
 pub use trim::trim;
 
 /// The result of an SCC computation.
@@ -60,7 +65,10 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
 
     // Random permutation and prefix-doubling batches (Alg. 1 line 2).
     let perm = stats.breakdown.run("other", || random_permutation(n, cfg.seed));
-    let scratch = stats.breakdown.run("other", || LabelScratch::new(n));
+    // Multi-search scratch, sized by the first batch that needs it.
+    let mut fwd = PairSet::with_capacity(0);
+    let mut bwd = PairSet::with_capacity(0);
+    let mut bag: HashBag<u64> = HashBag::with_config(0, cfg.bag);
 
     let mut cursor = 0usize;
     let mut batch_size = 1usize;
@@ -121,12 +129,14 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
             } else {
                 next_table_capacity(prev_pairs, unfinished)
             };
-            let mut t_out = PairTable::with_capacity(cap);
-            let mut t_in = PairTable::with_capacity(cap);
+            stats.breakdown.run("other", || {
+                fwd.reset(cap);
+                bwd.reset(cap);
+            });
             let params = cfg.multi_params();
             let t = Timer::start();
-            let fo = multi_reach(g, &sources, true, &state.labels, &params, &mut t_out);
-            let bo = multi_reach(g, &sources, false, &state.labels, &params, &mut t_in);
+            let fo = multi_reach(g, &sources, true, &state.labels, &params, &mut fwd, &mut bag);
+            let bo = multi_reach(g, &sources, false, &state.labels, &params, &mut bwd, &mut bag);
             let elapsed = t.seconds();
             let resize = fo.resize_seconds + bo.resize_seconds;
             stats
@@ -153,17 +163,18 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
             });
             let newly = stats
                 .breakdown
-                .run("labeling", || label_from_multi(&state, &t_out, &t_in, &scratch));
+                .run("labeling", || label_from_multi(&state, fwd.pairs_mut(), bwd.pairs_mut()));
             unfinished -= newly;
-            prev_pairs = t_out.len() + t_in.len();
+            prev_pairs = fwd.len() + bwd.len();
         }
     }
 
+    drop((fwd, bwd, bag));
     assert_eq!(unfinished, 0, "BGSS must finish every vertex");
     state.debug_assert_all_done();
 
     let labels = state.labels_snapshot();
-    let (num_sccs, largest_scc) = component_stats(&labels);
+    let (num_sccs, largest_scc) = final_label_stats(&labels);
     stats.total_seconds = total.seconds();
     (SccResult { labels, num_sccs, largest_scc }, stats)
 }
@@ -191,6 +202,19 @@ pub fn parallel_scc_induced(
     parallel_scc(&sub, cfg).labels
 }
 
+/// Component count and largest component size of a finished labeling,
+/// whose labels are all `FINAL_TAG | representative vertex`: one counting
+/// pass per vertex instead of hashing every label.
+fn final_label_stats(labels: &[u64]) -> (usize, usize) {
+    let mut sizes = vec![0u32; labels.len()];
+    for &l in labels {
+        debug_assert!(l & FINAL_TAG != 0, "unfinished label {l:#x}");
+        sizes[(l & !FINAL_TAG) as usize] += 1;
+    }
+    let num = sizes.iter().filter(|&&c| c > 0).count();
+    (num, sizes.iter().copied().max().unwrap_or(0) as usize)
+}
+
 /// Next prefix-doubling batch size: `max(s + 1, ceil(s·β))`.
 fn next_batch_size(s: usize, beta: f64) -> usize {
     ((s as f64 * beta).ceil() as usize).max(s + 1)
@@ -199,7 +223,7 @@ fn next_batch_size(s: usize, beta: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{partition_groups, same_partition};
+    use crate::verify::{component_stats, partition_groups, same_partition};
     use pscc_graph::fixtures::{fig2_graph, fig2_sccs, two_triangles_and_isolated};
     use pscc_graph::generators::random::{gnm_digraph, gnp_digraph};
     use pscc_graph::generators::simple::{bowtie_web, cycle_digraph, dag_layers, path_digraph};
@@ -420,6 +444,13 @@ mod tests {
     }
 
     #[test]
+    fn final_label_stats_match_component_stats() {
+        let g = gnm_digraph(500, 700, 3);
+        let got = parallel_scc(&g, &SccConfig::default());
+        assert_eq!((got.num_sccs, got.largest_scc), component_stats(&got.labels));
+    }
+
+    #[test]
     fn batch_sizes_grow_geometrically() {
         let mut s = 1usize;
         let sizes: Vec<usize> = (0..8)
@@ -446,6 +477,39 @@ mod tests {
             naive.phase_seconds("table_resize"),
             smart.phase_seconds("table_resize")
         );
+    }
+
+    #[test]
+    fn reused_scratch_matches_tarjan_across_widths_and_table_sizings() {
+        use pscc_graph::generators::knn::{knn_digraph, uniform_points};
+        use pscc_graph::generators::lattice::{lattice_sqr, lattice_sqr_prime};
+        let graphs = [
+            bowtie_web(2000, 0.4, 3, 2),
+            knn_digraph(&uniform_points(2000, 5), 3),
+            lattice_sqr(40, 40, 4),
+            lattice_sqr_prime(40, 40, 6),
+        ];
+        // Naive sizing starts every batch at 1024 pairs, so a big batch
+        // grows its tables mid-search and later, smaller batches reuse
+        // them; the heuristic sizes them up front.
+        let mut grew = false;
+        for g in &graphs {
+            let want = tarjan_labels(g);
+            for threads in [1, 2, 4] {
+                for naive_table_sizing in [false, true] {
+                    let cfg = SccConfig { naive_table_sizing, ..SccConfig::default() };
+                    let (got, stats) =
+                        pscc_runtime::with_threads(threads, || parallel_scc_with_stats(g, &cfg));
+                    assert!(
+                        same_partition(&got.labels, &want),
+                        "n={} threads={threads} naive={naive_table_sizing}",
+                        g.n()
+                    );
+                    grew |= naive_table_sizing && stats.phase_seconds("table_resize") > 0.0;
+                }
+            }
+        }
+        assert!(grew, "no table grew mid-search");
     }
 
     #[test]

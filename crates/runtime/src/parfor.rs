@@ -1,11 +1,13 @@
 //! Blocked parallel for-loops with explicit granularity control.
 //!
 //! These are the "horizontal granularity control" primitives of §3.1: the
-//! index range is cut into blocks of at most `grain` indices, and scoped
-//! worker threads claim blocks from a shared atomic cursor until the range
-//! is exhausted. Dynamic claiming gives the same load balance as the
-//! classic divide-and-conquer fork-join without requiring a work-stealing
-//! runtime; nested parallel calls inside a block run sequentially.
+//! index range is cut into blocks of at most `grain` indices, and the
+//! region's participants — the calling thread plus parked workers of the
+//! runtime's pool (see [`crate::pool`]) — claim blocks from a shared atomic
+//! cursor until the range is exhausted. Dynamic claiming gives the same
+//! load balance as the classic divide-and-conquer fork-join without a
+//! work-stealing deque; nested parallel calls inside a block run
+//! sequentially.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,28 +59,49 @@ where
         return;
     }
     let cursor = AtomicUsize::new(0);
-    // Telemetry: workers inherit the spawning thread's trace context (so
-    // spans opened inside `f` stay in the caller's causal chain) and are
-    // counted in the live-worker gauge for the duration of the region.
+    // Telemetry: participants inherit the submitting thread's trace
+    // context (so spans opened inside `f` stay in the caller's causal
+    // chain) and are counted in the live-worker gauge for the duration of
+    // the region.
     let telemetry_on = pscc_telemetry::enabled();
     let ctx = if telemetry_on { pscc_telemetry::current_context() } else { None };
-    let work = || {
+    pool::run_region(width, &|| {
         let _active = telemetry_on.then(|| active_workers_gauge().inc_scoped());
-        pscc_telemetry::with_context(ctx, || {
-            pool::enter_region(|| loop {
-                let b = cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= blocks {
-                    break;
-                }
-                f(block_range(b));
-            })
+        pscc_telemetry::with_context(ctx, || loop {
+            let b = cursor.fetch_add(1, Ordering::Relaxed);
+            if b >= blocks {
+                break;
+            }
+            f(block_range(b));
         })
-    };
-    std::thread::scope(|s| {
-        for _ in 1..width {
-            s.spawn(work);
+    });
+}
+
+/// Runs `f` on every element of `items` in parallel, one block per
+/// element; each element is handed mutably to exactly one call.
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    struct Items<T>(*mut T);
+    // SAFETY: shared only with the loop below, which hands each index to
+    // exactly one call, so no element is ever reachable from two threads;
+    // T: Send lets the element move to the worker that claims it.
+    unsafe impl<T: Send> Sync for Items<T> {}
+    impl<T> Items<T> {
+        fn get(&self) -> *mut T {
+            self.0
         }
-        work();
+    }
+    let ptr = Items(items.as_mut_ptr());
+    par_range(0..items.len(), 1, &|r| {
+        for i in r {
+            // SAFETY: i < items.len() and par_range yields every index
+            // exactly once, so this is the only live reference to
+            // items[i]; `items` stays mutably borrowed for the whole call.
+            f(unsafe { &mut *ptr.get().add(i) });
+        }
     });
 }
 

@@ -1,6 +1,7 @@
 //! Parallel reductions over index ranges.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::atomic::atomic_max_u64;
 use crate::parfor::par_range;
@@ -68,24 +69,13 @@ where
     if width <= 1 {
         return fold(0, n);
     }
-    // One contiguous segment per worker; combine left-to-right, which equals
-    // any tree order because `combine` is associative by contract.
-    let seg = n.div_ceil(width);
-    let fold = &fold;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..width)
-            .map(|w| {
-                let (lo, hi) = (w * seg, ((w + 1) * seg).min(n));
-                s.spawn(move || crate::pool::enter_region(|| fold(lo, hi)))
-            })
-            .collect();
-        let mut acc = fold(0, seg.min(n));
-        for h in handles {
-            // analyze: allow(panic): deliberately propagates a worker panic to the caller
-            acc = combine(acc, h.join().expect("reduce worker panicked"));
-        }
-        acc
-    })
+    // One result per block; combining them left to right equals any tree
+    // order because `combine` is associative by contract.
+    let parts: Vec<OnceLock<T>> = (0..n.div_ceil(GRAIN)).map(|_| OnceLock::new()).collect();
+    par_range(0..n, GRAIN, &|r| {
+        let _ = parts[r.start / GRAIN].set(fold(r.start, r.end));
+    });
+    parts.into_iter().filter_map(OnceLock::into_inner).fold(id, combine)
 }
 
 #[cfg(test)]

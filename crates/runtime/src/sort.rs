@@ -4,10 +4,11 @@
 //! `Copy` tuples) on hot paths — CSR construction, random permutations,
 //! and the LE-lists candidate pass. This module provides a chunked
 //! merge sort: the slice is cut into one chunk per worker, chunks are
-//! sorted with `slice::sort_unstable_by_key` on scoped threads, and sorted
-//! runs are merged through a scratch buffer (ping-pong passes, parallel
-//! across run pairs).
+//! sorted with `slice::sort_unstable_by_key` in one parallel region, and
+//! sorted runs are merged through a scratch buffer (ping-pong passes,
+//! parallel across run pairs).
 
+use crate::parfor::par_for_each_mut;
 use crate::pool;
 
 /// Minimum length worth parallelizing; below this the std sort wins.
@@ -33,11 +34,8 @@ where
     }
     let chunk = n.div_ceil(width);
     let key = &key;
-    std::thread::scope(|s| {
-        for part in v.chunks_mut(chunk) {
-            s.spawn(move || pool::enter_region(|| part.sort_unstable_by_key(|t| key(t))));
-        }
-    });
+    let mut parts: Vec<&mut [T]> = v.chunks_mut(chunk).collect();
+    par_for_each_mut(&mut parts, |part| part.sort_unstable_by_key(|t| key(t)));
 
     // Ping-pong merge passes over runs of doubling length.
     let mut buf: Vec<T> = v.to_vec();
@@ -58,7 +56,7 @@ where
 }
 
 /// Merges adjacent sorted runs of length `run` from `src` into `dst`,
-/// one pair per scoped worker.
+/// one pair per block of a parallel region.
 fn merge_pass<T, K, F>(src: &[T], dst: &mut [T], run: usize, key: &F)
 where
     T: Copy + Send + Sync,
@@ -66,19 +64,18 @@ where
     F: Fn(&T) -> K + Sync,
 {
     let n = src.len();
-    std::thread::scope(|s| {
-        let mut rest = dst;
-        let mut lo = 0;
-        while lo < n {
-            let mid = (lo + run).min(n);
-            let hi = (lo + 2 * run).min(n);
-            let (out, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let (a, b) = (&src[lo..mid], &src[mid..hi]);
-            s.spawn(move || pool::enter_region(|| merge_into(a, b, out, key)));
-            lo = hi;
-        }
-    });
+    let mut merges: Vec<(&[T], &[T], &mut [T])> = Vec::new();
+    let mut rest = dst;
+    let mut lo = 0;
+    while lo < n {
+        let mid = (lo + run).min(n);
+        let hi = (lo + 2 * run).min(n);
+        let (out, tail) = rest.split_at_mut(hi - lo);
+        rest = tail;
+        merges.push((&src[lo..mid], &src[mid..hi], out));
+        lo = hi;
+    }
+    par_for_each_mut(&mut merges, |(a, b, out)| merge_into(a, b, out, key));
 }
 
 /// Standard two-way merge of sorted `a` and `b` into `out`.

@@ -54,7 +54,7 @@ impl PairTable {
     /// Creates a table able to hold about `capacity` keys (rounded up to a
     /// power of two with 2× headroom).
     pub fn with_capacity(capacity: usize) -> Self {
-        let slots = (capacity.max(8) * 2).next_power_of_two();
+        let slots = slots_for(capacity);
         Self {
             slots: (0..slots).map(|_| AtomicU64::new(EMPTY)).collect(),
             mask: slots - 1,
@@ -81,6 +81,18 @@ impl PairTable {
     /// Inserts `key`; returns whether it was added, already present, or the
     /// table needs growing. Concurrent-safe with other `insert`/`contains`.
     pub fn insert(&self, key: u64) -> Insert {
+        let outcome = self.insert_uncounted(key);
+        if outcome == Insert::Added {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    /// [`insert`](Self::insert) without updating [`len`](Self::len): for
+    /// parallel loops that count the keys they add and report them with
+    /// one [`add_len`](Self::add_len) per block, instead of one update of
+    /// a shared counter per key.
+    pub fn insert_uncounted(&self, key: u64) -> Insert {
         debug_assert_ne!(key, EMPTY, "u64::MAX is the empty sentinel");
         let mut i = (hash64(key) as usize) & self.mask;
         for _ in 0..self.probe_limit {
@@ -95,10 +107,7 @@ impl PairTable {
                     Ordering::Release,
                     Ordering::Relaxed,
                 ) {
-                    Ok(_) => {
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        return Insert::Added;
-                    }
+                    Ok(_) => return Insert::Added,
                     Err(now) => {
                         if now == key {
                             return Insert::Present;
@@ -111,6 +120,11 @@ impl PairTable {
             i = (i + 1) & self.mask;
         }
         Insert::Full
+    }
+
+    /// Counts `added` keys stored by [`insert_uncounted`](Self::insert_uncounted).
+    pub fn add_len(&self, added: usize) {
+        self.len.fetch_add(added, Ordering::Relaxed);
     }
 
     /// Membership test. Concurrent-safe with `insert`.
@@ -182,6 +196,46 @@ impl PairTable {
         *self = bigger;
     }
 
+    /// Empties a table whose stored keys are exactly `keys` and gives it
+    /// the slot count [`with_capacity(capacity)`](Self::with_capacity)
+    /// would. When the count already matches, the slots are kept and only
+    /// those holding `keys` are cleared, so the cost follows the keys, not
+    /// the slot count. Otherwise the slots are replaced, the old array
+    /// freed before the new one is allocated so two generations are never
+    /// alive at once.
+    pub fn reset(&mut self, keys: &[u64], capacity: usize) {
+        debug_assert_eq!(keys.len(), self.len(), "reset needs exactly the stored keys");
+        if slots_for(capacity) != self.slots.len() {
+            self.slots = Box::default();
+            *self = PairTable::with_capacity(capacity);
+            return;
+        }
+        self.len.store(0, Ordering::Relaxed);
+        if keys.len() * 8 >= self.slots.len() {
+            // Dense: one streaming fill beats that many scattered writes.
+            for slot in self.slots.iter_mut() {
+                *slot.get_mut() = EMPTY;
+            }
+            return;
+        }
+        let this = &*self;
+        par_range(0..keys.len(), 2048, &|r| {
+            for &key in &keys[r] {
+                // Probe past empty slots: other keys of the list may
+                // already be cleared, but never move, so `key` is still
+                // within the probe limit of its home slot.
+                let mut i = (hash64(key) as usize) & this.mask;
+                for _ in 0..this.probe_limit {
+                    if this.slots[i].load(Ordering::Relaxed) == key {
+                        this.slots[i].store(EMPTY, Ordering::Relaxed);
+                        break;
+                    }
+                    i = (i + 1) & this.mask;
+                }
+            }
+        });
+    }
+
     /// Clears all keys (parallel), keeping the allocation.
     pub fn clear(&self) {
         par_range(0..self.slots.len(), 4096, &|r| {
@@ -191,6 +245,12 @@ impl PairTable {
         });
         self.len.store(0, Ordering::Relaxed);
     }
+}
+
+/// Slot count for a table of about `capacity` keys: a power of two with
+/// 2× headroom.
+fn slots_for(capacity: usize) -> usize {
+    (capacity.max(8) * 2).next_power_of_two()
 }
 
 #[cfg(test)]
@@ -276,6 +336,61 @@ mod tests {
         assert!(t.is_empty());
         assert!(!t.contains(7));
         assert_eq!(t.insert(7), Insert::Added);
+    }
+
+    #[test]
+    fn uncounted_inserts_count_once_per_block() {
+        let t = PairTable::with_capacity(1000);
+        let added = (0..300u64).filter(|&k| t.insert_uncounted(k % 200) == Insert::Added).count();
+        assert_eq!(added, 200);
+        assert_eq!(t.len(), 0, "uncounted inserts leave len alone");
+        t.add_len(added);
+        assert_eq!(t.len(), 200);
+        assert!(t.contains(199));
+    }
+
+    #[test]
+    fn reset_empties_every_slot_and_accepts_a_new_batch() {
+        // A small table so probe chains are long and keys cleared early
+        // sit in front of keys cleared later.
+        let mut t = PairTable::with_capacity(64);
+        let slots = t.slot_count();
+        let all_empty = |t: &PairTable| t.slots.iter().all(|s| s.load(Ordering::Relaxed) == EMPTY);
+        let keys: Vec<u64> = (0..100u64).map(|k| k * 7919).collect();
+        for &k in &keys {
+            assert_eq!(t.insert(k), Insert::Added);
+        }
+        t.reset(&keys, 64);
+        assert_eq!(t.slot_count(), slots, "same capacity keeps the slots");
+        assert!(t.is_empty());
+        assert!(all_empty(&t), "a slot kept a key");
+        assert!(keys.iter().all(|&k| !t.contains(k)));
+        // The reset table takes a new, smaller batch, whose few keys are
+        // then cleared slot by slot.
+        let small: Vec<u64> = (1..=10u64).collect();
+        for &k in &small {
+            assert_eq!(t.insert(k), Insert::Added);
+        }
+        assert_eq!(t.len(), 10);
+        assert_eq!(t.keys().len(), 10);
+        t.reset(&small, 64);
+        assert!(t.is_empty());
+        assert!(all_empty(&t), "a slot kept a key");
+        assert_eq!(t.insert(3), Insert::Added);
+    }
+
+    #[test]
+    fn reset_follows_the_requested_capacity() {
+        let mut t = PairTable::with_capacity(1000);
+        t.insert(5);
+        t.reset(&[5], 100_000);
+        assert_eq!(t.slot_count(), PairTable::with_capacity(100_000).slot_count());
+        assert!(t.is_empty());
+        t.insert(6);
+        t.reset(&[6], 10);
+        assert_eq!(t.slot_count(), PairTable::with_capacity(10).slot_count());
+        assert!(t.is_empty() && !t.contains(6));
+        assert_eq!(t.insert(5), Insert::Added);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   ring-buffer sink — one instrumented `Catalog::apply_delta` yields a
 //!   causal trace `normalize → classify → plan(tier) → execute → swap`
 //!   with per-stage durations. [`TraceContext`] propagates parentage into
-//!   scoped worker threads and background jobs.
+//!   pool worker threads and background jobs.
 //! * **Exposition** ([`snapshot`]): Prometheus-style text rendering, JSON
 //!   rendering, and the diffable [`TelemetrySnapshot`] used by tests and
 //!   benches.

@@ -10,7 +10,7 @@
 //! Parentage crosses threads explicitly: capture [`current_context`] on
 //! the submitting thread and wrap the worker's body in [`with_context`] —
 //! the runtime's `par_for` workers and `Background` jobs do this, so a
-//! trace started in `apply_delta` keeps its identity through scoped
+//! trace started in `apply_delta` keeps its identity through pool
 //! workers and deferred compactions.
 //!
 //! The sink holds the most recent [`SPAN_SINK_CAPACITY`] records; older
