@@ -14,13 +14,13 @@
 //! blocks and hand back each block's pairs, overflowed keys and edge count
 //! under one lock.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use pscc_bag::HashBag;
 use pscc_graph::{DiGraph, V};
 use pscc_runtime::{par_range, Timer};
 use pscc_table::{pack_pair, pair_source, pair_vertex, Insert, PairTable};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::ReachParams;
 use crate::reach::frontier_grain;

@@ -9,9 +9,10 @@
 //! §4.5 heuristic.
 //!
 //! The search scratch — one [`PairSet`] per direction and the frontier
-//! hash bag — is allocated once per call and reused by every batch, so a
-//! batch costs time in proportion to the pairs it produces, not to `n` or
-//! to the largest table an earlier batch needed.
+//! hash bag — is allocated once per call and reused by every batch. A
+//! table keeps its slots while its §4.5 size stays the same, and is then
+//! reset by clearing only the slots the previous batch used, so a batch
+//! costs time in proportion to its pairs rather than to `n`.
 
 pub mod label;
 pub mod trim;
@@ -65,7 +66,7 @@ pub fn parallel_scc_with_stats(g: &DiGraph, cfg: &SccConfig) -> (SccResult, SccS
 
     // Random permutation and prefix-doubling batches (Alg. 1 line 2).
     let perm = stats.breakdown.run("other", || random_permutation(n, cfg.seed));
-    // Multi-search scratch, sized by the first batch that needs it.
+    // Multi-search scratch, reset and sized by every batch.
     let mut fwd = PairSet::with_capacity(0);
     let mut bwd = PairSet::with_capacity(0);
     let mut bag: HashBag<u64> = HashBag::with_config(0, cfg.bag);
@@ -489,9 +490,9 @@ mod tests {
             lattice_sqr(40, 40, 4),
             lattice_sqr_prime(40, 40, 6),
         ];
-        // Naive sizing starts every batch at 1024 pairs, so a big batch
-        // grows its tables mid-search and later, smaller batches reuse
-        // them; the heuristic sizes them up front.
+        // Naive sizing gives every batch a 1024-pair table, so big batches
+        // grow theirs mid-search and the next batch resets the grown set
+        // to the small size again; the heuristic sizes them up front.
         let mut grew = false;
         for g in &graphs {
             let want = tarjan_labels(g);

@@ -32,7 +32,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
@@ -175,6 +175,8 @@ fn wait_until(ready: impl Fn() -> bool) {
 }
 
 /// A pool worker's life: wait for a region, run the body, report, repeat.
+/// Workers are never joined; they park between regions for the life of
+/// the process.
 fn work(mailbox: Arc<AtomicPtr<Region<'static>>>) {
     IN_PARALLEL.with(|p| p.set(true));
     loop {
@@ -189,9 +191,14 @@ fn work(mailbox: Arc<AtomicPtr<Region<'static>>>) {
         // alive.
         let region = unsafe { &*region };
         if let Err(p) = panic::catch_unwind(AssertUnwindSafe(region.body)) {
-            region.panic.lock().expect("region panic lock").get_or_insert(p);
+            // Outside the catch: this must not panic, or the submitter
+            // would wait for this worker forever. An `Option` is valid
+            // whatever a poisoning thread left in it.
+            region.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(p);
         }
         let submitter = region.submitter.clone();
+        // Release: the submitter's Acquire load of a zero `pending` sees
+        // every write of this worker's share, and its panic.
         if region.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             submitter.unpark();
         }
@@ -241,13 +248,15 @@ pub(crate) fn run_region(width: usize, body: &(dyn Fn() + Sync)) {
     };
     let shared: *mut Region<'static> = (&region as *const Region<'_>).cast_mut().cast();
     for w in &crew[..helpers] {
+        // Release, paired with the worker's Acquire load and swap: the
+        // worker sees the Region fully initialized.
         w.mailbox.store(shared, Ordering::Release);
         w.thread.unpark();
     }
     let mine = panic::catch_unwind(AssertUnwindSafe(|| enter_region(body)));
     wait_until(|| region.pending.load(Ordering::Acquire) == 0);
     drop(crew);
-    let theirs = region.panic.into_inner().unwrap_or_else(|p| p.into_inner());
+    let theirs = region.panic.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(p) = mine.err().or(theirs) {
         panic::resume_unwind(p);
     }

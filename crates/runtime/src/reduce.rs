@@ -65,8 +65,7 @@ where
         }
         acc
     };
-    let width = crate::pool::region_width().min(n.div_ceil(GRAIN).max(1));
-    if width <= 1 {
+    if n <= GRAIN || crate::pool::region_width() <= 1 {
         return fold(0, n);
     }
     // One result per block; combining them left to right equals any tree

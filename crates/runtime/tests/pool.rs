@@ -39,9 +39,28 @@ fn on_pool_worker() -> bool {
     thread::current().name().is_some_and(|n| n.starts_with("pscc-pool"))
 }
 
-/// Slows a block down so every participant gets to claim some.
-fn linger() {
-    thread::sleep(Duration::from_millis(1));
+/// A barrier each thread meets once, at its first call. Calling it at the
+/// top of every block of a region forces `parties` participants to run
+/// at once: none can claim a second block before all have claimed one.
+struct Rendezvous {
+    barrier: Barrier,
+    met: Mutex<HashSet<ThreadId>>,
+}
+
+impl Rendezvous {
+    fn new(parties: usize) -> Self {
+        Self { barrier: Barrier::new(parties), met: Mutex::new(HashSet::new()) }
+    }
+
+    /// Waits for the other parties on this thread's first call; true
+    /// then, false on later calls.
+    fn meet(&self) -> bool {
+        let first = self.met.lock().expect("met lock").insert(thread::current().id());
+        if first {
+            self.barrier.wait();
+        }
+        first
+    }
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -51,13 +70,39 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_default()
 }
 
-/// A `width`-block region whose blocks meet at a `width`-party barrier:
-/// it completes only if `width` participants run at once.
-fn barrier_region(width: usize) {
-    let barrier = Barrier::new(width);
+/// Runs a region of `width` participants through each primitive, each
+/// participant calling `block` once after all have met: every region
+/// completes only if `width` participants run at once.
+fn meet_in_each_primitive(width: usize, block: &(dyn Fn() + Sync)) {
+    let r = Rendezvous::new(width);
     par_range(0..width, 1, &|_| {
-        barrier.wait();
+        if r.meet() {
+            block();
+        }
     });
+    let r = Rendezvous::new(width);
+    let total = par_reduce(
+        width * 2048,
+        0u64,
+        |_| {
+            if r.meet() {
+                block();
+            }
+            1
+        },
+        u64::wrapping_add,
+    );
+    assert_eq!(total, (width * 2048) as u64);
+    // The sort cuts one chunk per participant.
+    let r = Rendezvous::new(width);
+    let mut v: Vec<u64> = (0..(width as u64) * 10_000).rev().collect();
+    par_sort_unstable_by_key(&mut v, |&x| {
+        if r.meet() {
+            block();
+        }
+        x
+    });
+    assert!(v.windows(2).all(|w| w[0] <= w[1]));
 }
 
 #[test]
@@ -69,21 +114,26 @@ fn a_worker_panic_reaches_the_caller_and_the_pool_survives() {
                 if on_pool_worker() {
                     panic!("worker boom");
                 }
-                linger();
             };
             let caught = |what: &str, f: &dyn Fn()| {
                 let p = panic::catch_unwind(AssertUnwindSafe(f)).expect_err(what);
                 assert_eq!(panic_message(&*p), "worker boom", "{what}");
-                // The next region still runs on the pool: two participants.
-                barrier_region(2);
             };
-            caught("par_range", &|| par_range(0..64, 1, &|_| boom()));
+            let r = Rendezvous::new(2);
+            caught("par_range", &|| {
+                par_range(0..64, 1, &|_| {
+                    if r.meet() {
+                        boom();
+                    }
+                })
+            });
+            let r = Rendezvous::new(2);
             caught("par_reduce", &|| {
                 par_reduce(
                     64 * 2048,
                     0u64,
-                    |i| {
-                        if i.is_multiple_of(2048) {
+                    |_| {
+                        if r.meet() {
                             boom();
                         }
                         1
@@ -91,15 +141,19 @@ fn a_worker_panic_reaches_the_caller_and_the_pool_survives() {
                     u64::wrapping_add,
                 );
             });
+            let r = Rendezvous::new(2);
             caught("par_sort_unstable_by_key", &|| {
                 let mut v: Vec<u64> = (0..100_000).rev().collect();
                 par_sort_unstable_by_key(&mut v, |&x| {
-                    if x.is_multiple_of(10_000) {
+                    if r.meet() {
                         boom();
                     }
                     x
                 });
             });
+            // The next regions still run on the pool, two participants
+            // at once.
+            meet_in_each_primitive(2, &|| {});
         });
     });
 }
@@ -144,14 +198,12 @@ fn concurrent_submitters_each_visit_every_index_once() {
 #[test]
 fn regions_nested_in_a_worker_run_sequentially() {
     let _serial = serial();
-    let regions = pscc_telemetry::counter("pscc_pool_regions_total");
     let inline = pscc_telemetry::counter("pscc_pool_inline_regions_total");
-    let (regions_before, inline_before) = (regions.get(), inline.get());
+    let inline_before = inline.get();
     within("nesting test", || {
+        let checked = AtomicUsize::new(0);
         with_threads(4, || {
-            let checked = AtomicUsize::new(0);
-            par_range(0..16, 1, &|_| {
-                linger();
+            meet_in_each_primitive(4, &|| {
                 if !on_pool_worker() {
                     return;
                 }
@@ -178,12 +230,11 @@ fn regions_nested_in_a_worker_run_sequentially() {
                 assert_eq!(*seen.lock().expect("seen lock"), HashSet::from([me]));
                 checked.fetch_add(1, Ordering::Relaxed);
             });
-            assert!(checked.load(Ordering::Relaxed) > 0, "no worker ran a block");
         });
+        assert!(checked.load(Ordering::Relaxed) > 0, "no worker ran a block");
     });
     // Nested calls are plain sequential loops, not regions that found the
     // pool busy.
-    assert_eq!(regions.get(), regions_before + 1, "only the outer loop is a region");
     assert_eq!(inline.get(), inline_before);
 }
 
@@ -191,37 +242,8 @@ fn regions_nested_in_a_worker_run_sequentially() {
 fn oversubscribed_regions_get_every_participant_at_once() {
     let _serial = serial();
     let k = available_parallelism() + 3;
-    within("oversubscribed barrier", move || {
-        with_threads(k, || {
-            barrier_region(k);
-            // par_reduce: k blocks of 2048, each waiting once.
-            let barrier = Barrier::new(k);
-            let total = par_reduce(
-                k * 2048,
-                0u64,
-                |i| {
-                    if i.is_multiple_of(2048) {
-                        barrier.wait();
-                    }
-                    1
-                },
-                u64::wrapping_add,
-            );
-            assert_eq!(total, (k * 2048) as u64);
-            // The sort cuts one chunk per participant; each participant
-            // waits once, at its first key, so none can take a second
-            // chunk before all k have started.
-            let barrier = Barrier::new(k);
-            let waited: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-            let mut v: Vec<u64> = (0..(k as u64) * 10_000).rev().collect();
-            par_sort_unstable_by_key(&mut v, |&x| {
-                if waited.lock().expect("waited lock").insert(thread::current().id()) {
-                    barrier.wait();
-                }
-                x
-            });
-            assert!(v.windows(2).all(|w| w[0] <= w[1]));
-        });
+    within("oversubscribed regions", move || {
+        with_threads(k, || meet_in_each_primitive(k, &|| {}));
     });
 }
 

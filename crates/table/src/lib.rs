@@ -89,9 +89,9 @@ impl PairTable {
     }
 
     /// [`insert`](Self::insert) without updating [`len`](Self::len): for
-    /// parallel loops that count the keys they add and report them with
-    /// one [`add_len`](Self::add_len) per block, instead of one update of
-    /// a shared counter per key.
+    /// parallel loops that count the keys they add and report them in bulk
+    /// with [`add_len`](Self::add_len), instead of updating one shared
+    /// counter per key.
     pub fn insert_uncounted(&self, key: u64) -> Insert {
         debug_assert_ne!(key, EMPTY, "u64::MAX is the empty sentinel");
         let mut i = (hash64(key) as usize) & self.mask;
