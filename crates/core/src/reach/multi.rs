@@ -73,16 +73,6 @@ impl PairSet {
         self.pairs.is_empty()
     }
 
-    /// The pair table.
-    pub fn table(&self) -> &PairTable {
-        &self.table
-    }
-
-    /// The packed pairs, in no particular order.
-    pub fn pairs(&self) -> &[u64] {
-        &self.pairs
-    }
-
     /// The packed pairs, for reordering in place (labeling sorts them).
     pub fn pairs_mut(&mut self) -> &mut [u64] {
         &mut self.pairs
@@ -316,12 +306,12 @@ mod tests {
     /// The set's pairs, checked against the table's keys: every added
     /// pair must be recorded exactly once.
     fn recorded(set: &PairSet) -> HashSet<(V, V)> {
-        let mut listed = set.pairs().to_vec();
-        let mut stored = set.table().keys();
+        let mut listed = set.pairs.clone();
+        let mut stored = set.table.keys();
         listed.sort_unstable();
         stored.sort_unstable();
         assert_eq!(listed, stored, "recorded pairs differ from the table's keys");
-        assert_eq!(set.table().len(), set.len());
+        assert_eq!(set.table.len(), set.len());
         listed.into_iter().map(|k| (pair_vertex(k), pair_source(k))).collect()
     }
 
@@ -446,10 +436,10 @@ mod tests {
             let big: Vec<V> = (0..40).collect();
             let (got, _) = search(&g, &big, true, &labels, &params, &mut set);
             assert_eq!(got, seq_pairs(&g, &big, true));
-            let slots = set.table().slot_count();
+            let slots = set.table.slot_count();
             set.reset(slots / 2);
-            assert!(set.is_empty() && set.table().is_empty());
-            assert_eq!(set.table().slot_count(), slots, "a table of the right size is kept");
+            assert!(set.is_empty() && set.table.is_empty());
+            assert_eq!(set.table.slot_count(), slots, "a table of the right size is kept");
             let (got, _) = search(&g, &[7, 99], false, &labels, &params, &mut set);
             assert_eq!(got, seq_pairs(&g, &[7, 99], false), "vgc={vgc}");
         }
